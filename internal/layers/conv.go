@@ -25,6 +25,7 @@ type SpikingConv2D struct {
 	outShape  []int // [Cout,OH,OW]
 	pool      *parallel.Pool
 	scratch   *tensor.Scratch
+	terms     *tensor.Tensor // per-image ∂W/∂b terms, reused within an iteration
 	colLen    int
 	spikePack bool
 }
@@ -68,11 +69,15 @@ func (l *SpikingConv2D) Build(inShape []int, rng *tensor.RNG) ([]int, error) {
 	rng.KaimingConv(l.weight)
 	l.colLen = l.Spec.ColBufLen(inShape[1], inShape[2])
 	l.scratch = tensor.NewScratch()
+	reserveLanes(l.scratch, l.pool)
 	return l.outShape, nil
 }
 
 // SetPool implements PoolAware.
-func (l *SpikingConv2D) SetPool(p *parallel.Pool) { l.pool = p }
+func (l *SpikingConv2D) SetPool(p *parallel.Pool) {
+	l.pool = p
+	reserveLanes(l.scratch, p)
+}
 
 // SetSpikePack implements SpikePackAware.
 func (l *SpikingConv2D) SetSpikePack(on bool) { l.spikePack = on }
@@ -90,32 +95,35 @@ func (l *SpikingConv2D) OutShape() []int { return l.outShape }
 
 // Forward implements Layer.
 func (l *SpikingConv2D) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	b := x.Dim(0)
-	u := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	// Compute the synaptic current directly into u, then fold in the
-	// leak/reset recurrence.
-	tensor.Conv2D(l.pool, u, x, l.weight, l.bias, l.Spec, l.scratch)
-	return l.fire(u, prev, b)
+	return forwardWhole(l, l.pool, x, nil, prev)
 }
 
 // ForwardPacked implements PackedForward: the convolution runs on a packed
 // im2col of the input spike bits (bit-identical to the dense Conv2D).
-func (l *SpikingConv2D) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	tensor.Conv2DPacked(l.pool, u, xp, l.weight, l.bias, l.Spec, l.scratch)
-	return l.fire(u, prev, b)
+func (l *SpikingConv2D) ForwardPacked(x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
+	return forwardWhole(l, l.pool, x, xp, prev)
 }
 
-// fire folds in the leak/reset recurrence and packages the state record.
-func (l *SpikingConv2D) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
-	o := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
-	if l.spikePack {
-		packOutput(st, o)
+func (l *SpikingConv2D) newState(b int) *LayerState { return newRecord(b, l.outShape, true) }
+
+// forward computes the synaptic current directly into U, then folds in the
+// leak/reset recurrence.
+func (l *SpikingConv2D) forward(c lane, st *LayerState, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) {
+	if xp != nil {
+		tensor.Conv2DPacked(c.pool, st.U, xp, l.weight, l.bias, l.Spec, l.scratch)
+	} else {
+		tensor.Conv2D(c.pool, st.U, x, l.weight, l.bias, l.Spec, l.scratch)
 	}
-	return st
+	l.fire(c.pool, st, prev)
+}
+
+// fire advances the LIF neurons from the synaptic current in st.U and
+// publishes the spikes (packed too in spike-pack mode).
+func (l *SpikingConv2D) fire(p *parallel.Pool, st, prev *LayerState) {
+	stepLIFPrev(p, st.U, st.O, prev, l.Neuron)
+	if l.spikePack {
+		packOutput(st)
+	}
 }
 
 // Backward implements Layer. It computes
@@ -126,32 +134,34 @@ func (l *SpikingConv2D) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerSt
 //
 // The reset-path gradient is ignored, as in the paper.
 func (l *SpikingConv2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := tensor.New(st.U.Shape()...)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
-	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	gradIn := tensor.New(x.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
-	tensor.Conv2DGradWeight(l.pool, l.gradW, l.gradB, delta, x, l.Spec, l.scratch)
-	return gradIn, &Delta{D: delta}
+	return backwardWhole(l, l.pool, x, nil, st, gradOut, deltaIn)
 }
 
 // BackwardPacked implements PackedBackward: the input spikes feed only the
 // weight gradient, which the packed gather kernel accumulates bit-identically
 // without expanding a lazy checkpoint record.
 func (l *SpikingConv2D) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := tensor.New(st.U.Shape()...)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
-	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	gradIn := tensor.New(xp.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
-	tensor.Conv2DGradWeightPacked(l.pool, l.gradW, l.gradB, delta, xp, l.Spec, l.scratch)
-	return gradIn, &Delta{D: delta}
+	return backwardWhole(l, l.pool, nil, xp, st, gradOut, deltaIn)
+}
+
+func (l *SpikingConv2D) reserveTerms(b int) {
+	l.terms = growTerms(l.terms, b, l.Spec.TermLen(true))
+}
+
+// EndIteration releases the gradient-term buffer the iteration's backward
+// steps reused; a layer holds none between iterations.
+func (l *SpikingConv2D) EndIteration() { l.terms = nil }
+
+// backwardData computes δ_t and ∂L/∂x_t, and each image's ∂W/∂b terms.
+func (l *SpikingConv2D) backwardData(c lane, gradIn *tensor.Tensor, d *Delta, x *tensor.Tensor, xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) {
+	snn.SurrogateDelta(c.pool, d.D, st.U, gradOut, deltaIn.next(), l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
+	tensor.Conv2DGradInput(c.pool, gradIn, d.D, l.weight, l.Spec, l.scratch)
+	convTerms(c, l.terms, d.D, x, xp, l.Spec, true, l.scratch)
+}
+
+// accumulate folds the per-image terms into ∂W and ∂b in image order.
+func (l *SpikingConv2D) accumulate(p *parallel.Pool, _ *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState, _, _ *Delta) {
+	tensor.FoldConvTerms(p, l.gradW, l.gradB, l.terms)
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

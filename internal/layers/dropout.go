@@ -13,6 +13,7 @@ import (
 // prerequisite for recompute determinism. With no mask set (evaluation) the
 // layer is the identity.
 type Dropout struct {
+	noParams
 	P     float32
 	Label string
 
@@ -77,25 +78,31 @@ func (l *Dropout) applyMask(dst, src *tensor.Tensor) {
 }
 
 // Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	o := tensor.New(x.Shape()...)
+func (l *Dropout) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
+	return forwardWhole(l, nil, x, nil, prev)
+}
+
+func (l *Dropout) newState(b int) *LayerState { return newRecord(b, l.inShape, false) }
+
+func (l *Dropout) forward(_ lane, st *LayerState, x *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState) {
 	if l.mask == nil {
-		copy(o.Data, x.Data)
+		copy(st.O.Data, x.Data)
 	} else {
-		l.applyMask(o, x)
+		l.applyMask(st.O, x)
 	}
-	return &LayerState{O: o}
 }
 
 // Backward implements Layer.
-func (l *Dropout) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
+func (l *Dropout) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardWhole(l, nil, x, nil, st, gradOut, deltaIn)
+}
+
+func (l *Dropout) backwardData(_ lane, gradIn *tensor.Tensor, _ *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) {
 	if l.mask == nil {
 		copy(gradIn.Data, gradOut.Data)
 	} else {
 		l.applyMask(gradIn, gradOut)
 	}
-	return gradIn, nil
 }
 
 // StateBytes implements Layer.

@@ -89,91 +89,81 @@ func (l *SpikingLinear) flatten(x *tensor.Tensor) *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *SpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransB(l.pool, u, xf, l.weight) // current = x·Wᵀ
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
+	return forwardWhole(l, l.pool, x, nil, prev)
 }
 
 // ForwardPacked implements PackedForward: the synaptic current is gathered
 // straight from the input spike bits (bit-identical to the dense matmul).
-func (l *SpikingLinear) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransBPacked(l.pool, u, xp, l.weight) // current = x·Wᵀ over set bits
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
+func (l *SpikingLinear) ForwardPacked(x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
+	return forwardWhole(l, l.pool, x, xp, prev)
 }
 
-// fire folds in the leak/reset recurrence and packages the state record.
-func (l *SpikingLinear) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
+func (l *SpikingLinear) newState(b int) *LayerState { return newRecord(b, []int{l.Out}, true) }
+
+// forward computes the synaptic current x·Wᵀ + b into U, then folds in the
+// leak/reset recurrence.
+func (l *SpikingLinear) forward(c lane, st *LayerState, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) {
+	if xp != nil {
+		tensor.MatMulTransBPacked(c.pool, st.U, xp, l.weight) // over set bits
+	} else {
+		tensor.MatMulTransB(c.pool, st.U, l.flatten(x), l.weight)
+	}
+	tensor.AddRowBias(st.U, l.bias)
+	l.fire(c.pool, st, prev)
+}
+
+// fire folds in the leak/reset recurrence and publishes the output.
+func (l *SpikingLinear) fire(p *parallel.Pool, st, prev *LayerState) {
 	if l.Readout {
 		// Pure integrator: U_t = λ·U_{t−1} + I_t, no spike, no reset.
 		if prev != nil {
-			tensor.AXPY(u, l.Neuron.Leak, prev.U)
+			tensor.AXPY(st.U, l.Neuron.Leak, prev.U)
 		}
-		return &LayerState{U: u, O: u.Clone()}
+		copy(st.O.Data, st.U.Data)
+		return
 	}
-	o := tensor.New(b, l.Out)
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
+	stepLIFPrev(p, st.U, st.O, prev, l.Neuron)
 	if l.spikePack {
-		packOutput(st, o)
+		packOutput(st)
 	}
-	return st
 }
 
 // Backward implements Layer; see SpikingConv2D.Backward for the recursion.
 // For a readout layer σ' ≡ 1 (the output is the membrane itself).
 func (l *SpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	delta := tensor.New(b, l.Out)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
-	if l.Readout {
-		copy(delta.Data, gradOut.Data)
-		if next != nil {
-			tensor.AXPY(delta, l.Neuron.Leak, next)
-		}
-	} else {
-		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	}
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)   // ∂L/∂x = δ·W
-	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf) // ∂W += δᵀ·x
-	tensor.SumPerColumn(l.gradB, delta)                // ∂b += Σ_batch δ
-	gradIn := gradFlat.Reshape(x.Shape()...)           // restore caller's view
-	return gradIn, &Delta{D: delta}
+	return backwardWhole(l, l.pool, x, nil, st, gradOut, deltaIn)
 }
 
 // BackwardPacked implements PackedBackward: the input spikes enter the
 // weight gradient only, and the packed accumulate kernel is bit-identical to
 // the dense one, so a lazy checkpoint record never needs expanding here.
 func (l *SpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	b := xp.Shape()[0]
-	delta := tensor.New(b, l.Out)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
+	return backwardWhole(l, l.pool, nil, xp, st, gradOut, deltaIn)
+}
+
+// backwardData computes δ_t and ∂L/∂x = δ·W.
+func (l *SpikingLinear) backwardData(c lane, gradIn *tensor.Tensor, d *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) {
+	next := deltaIn.next()
 	if l.Readout {
-		copy(delta.Data, gradOut.Data)
+		copy(d.D.Data, gradOut.Data)
 		if next != nil {
-			tensor.AXPY(delta, l.Neuron.Leak, next)
+			tensor.AXPY(d.D, l.Neuron.Leak, next)
 		}
 	} else {
-		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
+		snn.SurrogateDelta(c.pool, d.D, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
 	}
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)         // ∂L/∂x = δ·W
-	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp) // ∂W += δᵀ·x over set bits
-	tensor.SumPerColumn(l.gradB, delta)                      // ∂b += Σ_batch δ
-	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
+	tensor.MatMul(c.pool, gradIn.Reshape(d.D.Dim(0), l.inFeatures), d.D, l.weight)
+}
+
+// accumulate adds ∂W += δᵀ·x and ∂b += Σ_batch δ over the full batch; both
+// kernels add the samples' terms in ascending sample order.
+func (l *SpikingLinear) accumulate(p *parallel.Pool, x *tensor.Tensor, xp *tensor.PackedSpikes, _ *LayerState, d, _ *Delta) {
+	if xp != nil {
+		tensor.MatMulTransAPackedAcc(p, l.gradW, d.D, xp) // over set bits
+	} else {
+		tensor.MatMulTransAAcc(p, l.gradW, d.D, l.flatten(x))
+	}
+	tensor.SumPerColumn(l.gradB, d.D)
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

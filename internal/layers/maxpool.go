@@ -16,6 +16,7 @@ import (
 // exactly the trick PyTorch's saved-tensor mechanism uses for pooling
 // indices — and their bytes are accounted like any other activation.
 type MaxPool2D struct {
+	noParams
 	K     int
 	Label string
 
@@ -52,27 +53,35 @@ func (l *MaxPool2D) Params() []Param { return nil }
 
 // Forward implements Layer. The record's U field carries the argmax
 // indices.
-func (l *MaxPool2D) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	b := x.Dim(0)
-	o := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	idx := make([]int32, o.Len())
-	tensor.MaxPool2D(o, x, idx, l.K)
-	idxT := tensor.New(o.Shape()...)
+func (l *MaxPool2D) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
+	return forwardWhole(l, nil, x, nil, prev)
+}
+
+func (l *MaxPool2D) newState(b int) *LayerState { return newRecord(b, l.outShape, true) }
+
+// forward pools c's samples. The recorded argmax indices address the
+// full-batch input, so they are the same whichever lane computed them.
+func (l *MaxPool2D) forward(c lane, st *LayerState, x *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState) {
+	idx := make([]int32, st.O.Len())
+	tensor.MaxPool2D(st.O, x, idx, l.K)
+	off := c.lo * shapeVolume(l.inShape)
 	for i, v := range idx {
-		idxT.Data[i] = float32(v)
+		st.U.Data[i] = float32(int(v) + off)
 	}
-	return &LayerState{U: idxT, O: o}
 }
 
 // Backward implements Layer.
-func (l *MaxPool2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
+func (l *MaxPool2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardWhole(l, nil, x, nil, st, gradOut, deltaIn)
+}
+
+func (l *MaxPool2D) backwardData(c lane, gradIn *tensor.Tensor, _ *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, _ *Delta) {
+	off := c.lo * shapeVolume(l.inShape)
 	idx := make([]int32, st.U.Len())
 	for i, v := range st.U.Data {
-		idx[i] = int32(v)
+		idx[i] = int32(int(v) - off)
 	}
-	gradIn := tensor.New(x.Shape()...)
 	tensor.MaxPool2DGrad(gradIn, gradOut, idx)
-	return gradIn, nil
 }
 
 // StateBytes implements Layer: pooled output plus the index plane.

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"sync"
 
 	"skipper/internal/parallel"
 	"skipper/internal/tensor"
@@ -20,6 +21,12 @@ type Network struct {
 	built     bool
 	pool      *parallel.Pool
 	spikePack bool
+	// sample[i] is layer i's per-sample step, nil for a layer that couples
+	// samples (see sampleLayer).
+	sample []sampleLayer
+	// lanes[k] is the inline pool lane k of a sharded step runs its kernels
+	// on.
+	lanes []*parallel.Pool
 }
 
 // PoolAware is implemented by layers whose kernels run on the parallel
@@ -30,11 +37,16 @@ type PoolAware interface {
 	SetPool(*parallel.Pool)
 }
 
-// SetPool hands every pool-aware layer the shared compute pool. Call once
-// after Build (and again after a pool change); a nil pool reverts the
-// network to serial kernels. Results are bit-identical either way.
+// SetPool hands every pool-aware layer the shared compute pool, and makes
+// it the pool each timestep's sample shards run on. Call once after Build
+// (and again after a pool change); a nil pool reverts the network to serial
+// steps. Results are bit-identical either way.
 func (n *Network) SetPool(p *parallel.Pool) {
 	n.pool = p
+	n.lanes = make([]*parallel.Pool, p.Lanes())
+	for k := range n.lanes {
+		n.lanes[k] = parallel.Lane(k)
+	}
 	for _, l := range n.Layers {
 		if pa, ok := l.(PoolAware); ok {
 			pa.SetPool(p)
@@ -78,6 +90,10 @@ func (n *Network) Build(rng *tensor.RNG) error {
 		shape = out
 	}
 	n.outShape = shape
+	n.sample = make([]sampleLayer, len(n.Layers))
+	for i, l := range n.Layers {
+		n.sample[i], _ = l.(sampleLayer)
+	}
 	n.built = true
 	return nil
 }
@@ -175,7 +191,8 @@ func (n *Network) BeginIteration(rng *tensor.RNG) {
 	}
 }
 
-// EndIteration switches per-iteration layers back to evaluation behaviour.
+// EndIteration switches per-iteration layers back to evaluation behaviour
+// and releases the buffers they reused across the iteration's steps.
 func (n *Network) EndIteration() {
 	for _, l := range n.Layers {
 		if e, ok := l.(interface{ EndIteration() }); ok {
@@ -202,33 +219,113 @@ func (n *Network) setRecompute(on bool) {
 // ForwardStep advances the whole stack one timestep. x is the input spikes
 // [B, InShape...]; prev is the per-layer state at t−1 (nil at t = 0).
 // The returned slice has one state per layer.
+//
+// The step is one pool Run over the batch's samples (see shard.go): each
+// lane carries its sample range through every layer, writing into its rows
+// of the full-batch records. A layer that couples samples (batch norm) ends
+// the sharded run; it runs whole-batch on the pool and sharding resumes
+// above it.
 func (n *Network) ForwardStep(x *tensor.Tensor, prev []*LayerState) []*LayerState {
 	n.mustBuilt()
-	states := make([]*LayerState, len(n.Layers))
-	cur := x
-	var curP *tensor.PackedSpikes
-	if n.spikePack {
-		// Pack the network input too when it is binary (rate/latency-coded
-		// spikes); a non-binary input simply leaves the first layer dense.
-		curP, _ = tensor.PackSpikes(x)
+	b := x.Dim(0)
+	if n.shards(b) > 1 {
+		for _, st := range prev {
+			expand(st)
+		}
 	}
-	for i, l := range n.Layers {
-		var p *LayerState
-		if prev != nil {
-			p = prev[i]
+	states := make([]*LayerState, len(n.Layers))
+	for i := 0; i < len(n.Layers); {
+		j := i
+		for j < len(n.Layers) && n.sample[j] != nil {
+			j++
 		}
-		var st *LayerState
-		if pf, ok := l.(PackedForward); ok && curP != nil {
-			st = pf.ForwardPacked(cur, curP, p)
+		if j > i {
+			n.forwardRun(x, prev, states, i, j)
+			i = j
+			continue
+		}
+		// A sample-coupled layer: the whole batch at once, on the pool.
+		cur, curP := n.stepInput(x, states, i)
+		p := prevAt(prev, i)
+		if pf, ok := n.Layers[i].(PackedForward); ok && curP != nil {
+			states[i] = pf.ForwardPacked(cur, curP, p)
 		} else {
-			st = l.Forward(cur, p)
+			states[i] = n.Layers[i].Forward(cur, p)
 		}
-		states[i] = st
-		// The packed chain flows only through layers publishing packed
-		// outputs; anything else (pools, dropout, norm) drops back to dense.
-		cur, curP = st.O, st.OPacked
+		i++
 	}
 	return states
+}
+
+// forwardRun runs sample layers [i,j) as one sharded run.
+func (n *Network) forwardRun(x *tensor.Tensor, prev, states []*LayerState, i, j int) {
+	b := x.Dim(0)
+	// The first lane to reach a layer allocates its full-batch record, so
+	// the allocation overlaps the other lanes' compute instead of preceding
+	// the fork. A lane only ever waits on a lane that is running.
+	alloc := make([]sync.Once, j-i)
+	in, inP := n.stepInput(x, states, i)
+	// Lanes pack their own rows; lane 0's views then tell which full-batch
+	// records to pack after the join.
+	var lane0 []*LayerState
+	if n.shards(b) > 1 && n.spikePack {
+		lane0 = make([]*LayerState, j-i)
+	}
+	n.each(b, func(c lane) {
+		cur, curP := c.view(in), inP
+		if curP != nil && !c.whole() {
+			curP, _ = tensor.PackSpikes(cur)
+		}
+		for k := i; k < j; k++ {
+			alloc[k-i].Do(func() { states[k] = n.sample[k].newState(b) })
+			st := c.state(states[k])
+			n.sample[k].forward(c, st, cur, curP, c.state(prevAt(prev, k)))
+			if lane0 != nil && c.lo == 0 {
+				lane0[k-i] = st
+			}
+			// The packed chain flows only through layers publishing packed
+			// outputs; anything else (pools, dropout) drops back to dense.
+			cur, curP = st.O, st.OPacked
+		}
+	})
+	for k, v := range lane0 {
+		packLike(states[i+k], v)
+	}
+}
+
+// stepInput returns layer i's forward input and its packed view: the network
+// input for layer 0 (packed in spike-pack mode when it is binary —
+// rate/latency-coded spikes; a non-binary input leaves the first layer
+// dense), otherwise the record below.
+func (n *Network) stepInput(x *tensor.Tensor, states []*LayerState, i int) (*tensor.Tensor, *tensor.PackedSpikes) {
+	if i > 0 {
+		return states[i-1].O, states[i-1].OPacked
+	}
+	if n.spikePack {
+		xp, _ := tensor.PackSpikes(x)
+		return x, xp
+	}
+	return x, nil
+}
+
+// shards returns how many sample lanes a step over b samples runs on.
+func (n *Network) shards(b int) int { return shards(n.pool, b) }
+
+// each runs fn over a b-sample batch on the network's pool (see shard).
+func (n *Network) each(b int, fn func(c lane)) { shard(n.pool, n.lanes, b, fn) }
+
+func prevAt(prev []*LayerState, i int) *LayerState {
+	if prev == nil {
+		return nil
+	}
+	return prev[i]
+}
+
+func deltaAt(deltas []*Delta, i int) *Delta {
+	if deltas == nil {
+		return nil
+	}
+	return deltas[i]
 }
 
 // Logits returns the readout output of the final layer for a timestep's
@@ -257,17 +354,27 @@ func (n *Network) SpikeSum(states []*LayerState) float64 {
 // layer's entry is the loss gradient; TBPTT-LBP adds local-classifier
 // entries at interior layers). deltas carries δ_{t+1} per layer (nil at the
 // last computed timestep) and the replacement δ_t slice is returned.
+//
+// Like ForwardStep it is one sharded run per stretch of sample layers: the
+// lanes compute δ_t, ∂L/∂x_t and each sample's parameter-gradient terms;
+// after the join every layer folds its terms into the parameter gradients
+// in ascending sample order.
 func (n *Network) BackwardStep(x *tensor.Tensor, states []*LayerState, gradsAt map[int]*tensor.Tensor, deltas []*Delta) []*Delta {
 	n.mustBuilt()
 	if len(states) != len(n.Layers) {
 		panic(fmt.Sprintf("layers: BackwardStep got %d states for %d layers", len(states), len(n.Layers)))
 	}
+	if n.shards(x.Dim(0)) > 1 {
+		for _, st := range states {
+			expand(st)
+		}
+	}
 	newDeltas := make([]*Delta, len(n.Layers))
 	var gradFlow *tensor.Tensor
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
+	for j := len(n.Layers); j > 0; {
+		top := j - 1
 		gradOut := gradFlow
-		if inj := gradsAt[i]; inj != nil {
+		if inj := gradsAt[top]; inj != nil {
 			if gradOut == nil {
 				gradOut = inj.Clone()
 			} else {
@@ -275,33 +382,88 @@ func (n *Network) BackwardStep(x *tensor.Tensor, states []*LayerState, gradsAt m
 			}
 		}
 		if gradOut == nil {
-			gradOut = tensor.New(states[i].OutShape()...)
+			gradOut = tensor.New(states[top].OutShape()...)
 		}
-		var din *Delta
-		if deltas != nil {
-			din = deltas[i]
+		i := j
+		for i > 0 && n.sample[i-1] != nil {
+			i--
 		}
+		if i < j {
+			gradFlow = n.backwardRun(x, states, gradsAt, deltas, newDeltas, gradOut, i, j)
+			j = i
+			continue
+		}
+		// A sample-coupled layer: the whole batch at once, on the pool.
+		l := n.Layers[top]
+		din := deltaAt(deltas, top)
 		var prevPacked *tensor.PackedSpikes
-		if i > 0 {
-			prevPacked = states[i-1].OPacked
+		if top > 0 {
+			prevPacked = states[top-1].OPacked
 		}
-		var gradIn *tensor.Tensor
-		var dout *Delta
 		if pb, ok := l.(PackedBackward); ok && prevPacked != nil {
-			// The input spikes stay packed; a lazily materialised boundary
-			// record is consumed without ever expanding to dense.
-			gradIn, dout = pb.BackwardPacked(prevPacked, states[i], gradOut, din)
+			gradFlow, newDeltas[top] = pb.BackwardPacked(prevPacked, states[top], gradOut, din)
 		} else {
 			input := x
-			if i > 0 {
-				input = states[i-1].DenseO()
+			if top > 0 {
+				input = states[top-1].DenseO()
 			}
-			gradIn, dout = l.Backward(input, states[i], gradOut, din)
+			gradFlow, newDeltas[top] = l.Backward(input, states[top], gradOut, din)
 		}
-		newDeltas[i] = dout
-		gradFlow = gradIn
+		j--
 	}
 	return newDeltas
+}
+
+// backwardRun runs the backward of sample layers [i,j) as one sharded run,
+// given ∂L/∂o_t of the top layer, and returns ∂L/∂x_t of layer i.
+func (n *Network) backwardRun(x *tensor.Tensor, states []*LayerState, gradsAt map[int]*tensor.Tensor, deltas, newDeltas []*Delta, gradOut *tensor.Tensor, i, j int) *tensor.Tensor {
+	b := x.Dim(0)
+	gradIns := make([]*tensor.Tensor, j-i)
+	alloc := make([]sync.Once, j-i) // as in forwardRun
+	n.each(b, func(c lane) {
+		g := c.view(gradOut)
+		for k := j - 1; k >= i; k-- {
+			alloc[k-i].Do(func() {
+				gradIns[k-i] = tensor.New(inputShape(n.backInput(x, states, k))...)
+				newDeltas[k] = newDelta(n.Layers[k], states[k])
+				if tl, ok := n.sample[k].(termLayer); ok {
+					tl.reserveTerms(b)
+				}
+			})
+			if inj := gradsAt[k]; inj != nil && k < j-1 {
+				tensor.AXPY(g, 1, c.view(inj))
+			}
+			in, inP := n.backInput(x, states, k)
+			if !c.whole() {
+				inP = nil // views are dense (records were expanded)
+			}
+			gradIn := c.view(gradIns[k-i])
+			n.sample[k].backwardData(c, gradIn, c.delta(newDeltas[k]), c.view(in), inP, c.state(states[k]), g, c.delta(deltaAt(deltas, k)))
+			g = gradIn
+		}
+	})
+	// The parameter part follows the join. A sharded step runs it on the
+	// submitting goroutine: it is a few adds per parameter and sample, less
+	// than another fork-join costs.
+	acc := n.pool
+	if n.shards(b) > 1 {
+		acc = nil
+	}
+	for k := j - 1; k >= i; k-- {
+		in, inP := n.backInput(x, states, k)
+		n.sample[k].accumulate(acc, in, inP, states[k], newDeltas[k], deltaAt(deltas, k))
+	}
+	return gradIns[0]
+}
+
+// backInput returns layer k's input at time t for the backward pass: dense
+// (nil for a lazy record still holding only bits) and packed views. The
+// network input is never packed here.
+func (n *Network) backInput(x *tensor.Tensor, states []*LayerState, k int) (*tensor.Tensor, *tensor.PackedSpikes) {
+	if k == 0 {
+		return x, nil
+	}
+	return states[k-1].O, states[k-1].OPacked
 }
 
 // RecordBytes returns the activation bytes of one stored timestep for a

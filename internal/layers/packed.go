@@ -52,6 +52,6 @@ func stepLIFPrev(pool *parallel.Pool, u, o *tensor.Tensor, prev *LayerState, p s
 
 // packOutput attaches the packed view to a freshly fired spike plane. Spike
 // tensors are exactly 0/1 by construction, so packing always applies.
-func packOutput(st *LayerState, o *tensor.Tensor) {
-	st.OPacked, _ = tensor.PackSpikes(o)
+func packOutput(st *LayerState) {
+	st.OPacked, _ = tensor.PackSpikes(st.O)
 }

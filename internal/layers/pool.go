@@ -10,6 +10,7 @@ import (
 // stride k. SNN stacks pool spike trains with average pooling so that rate
 // information survives (max pooling over binary spikes is nearly saturating).
 type AvgPool2D struct {
+	noParams
 	K     int
 	Label string
 
@@ -45,18 +46,23 @@ func (l *AvgPool2D) Build(inShape []int, _ *tensor.RNG) ([]int, error) {
 func (l *AvgPool2D) Params() []Param { return nil }
 
 // Forward implements Layer.
-func (l *AvgPool2D) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	b := x.Dim(0)
-	o := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	tensor.AvgPool2D(o, x, l.K)
-	return &LayerState{O: o}
+func (l *AvgPool2D) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
+	return forwardWhole(l, nil, x, nil, prev)
+}
+
+func (l *AvgPool2D) newState(b int) *LayerState { return newRecord(b, l.outShape, false) }
+
+func (l *AvgPool2D) forward(_ lane, st *LayerState, x *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState) {
+	tensor.AvgPool2D(st.O, x, l.K)
 }
 
 // Backward implements Layer.
-func (l *AvgPool2D) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
+func (l *AvgPool2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardWhole(l, nil, x, nil, st, gradOut, deltaIn)
+}
+
+func (l *AvgPool2D) backwardData(_ lane, gradIn *tensor.Tensor, _ *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) {
 	tensor.AvgPool2DGrad(gradIn, gradOut, l.K)
-	return gradIn, nil
 }
 
 // StateBytes implements Layer: the pooled output per stored timestep.
@@ -69,6 +75,7 @@ func (l *AvgPool2D) WorkspaceBytes(int) int64 { return 0 }
 
 // GlobalAvgPool collapses [B,C,H,W] to [B,C], the head of ResNet stacks.
 type GlobalAvgPool struct {
+	noParams
 	Label   string
 	inShape []int
 }
@@ -95,18 +102,25 @@ func (l *GlobalAvgPool) Build(inShape []int, _ *tensor.RNG) ([]int, error) {
 func (l *GlobalAvgPool) Params() []Param { return nil }
 
 // Forward implements Layer.
-func (l *GlobalAvgPool) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	b := x.Dim(0)
-	o := tensor.New(b, l.inShape[0])
-	tensor.GlobalAvgPool2D(o, x)
-	return &LayerState{O: o}
+func (l *GlobalAvgPool) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
+	return forwardWhole(l, nil, x, nil, prev)
+}
+
+func (l *GlobalAvgPool) newState(b int) *LayerState {
+	return newRecord(b, l.inShape[:1], false)
+}
+
+func (l *GlobalAvgPool) forward(_ lane, st *LayerState, x *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState) {
+	tensor.GlobalAvgPool2D(st.O, x)
 }
 
 // Backward implements Layer.
-func (l *GlobalAvgPool) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
+func (l *GlobalAvgPool) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardWhole(l, nil, x, nil, st, gradOut, deltaIn)
+}
+
+func (l *GlobalAvgPool) backwardData(_ lane, gradIn *tensor.Tensor, _ *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) {
 	tensor.GlobalAvgPool2DGrad(gradIn, gradOut)
-	return gradIn, nil
 }
 
 // StateBytes implements Layer.

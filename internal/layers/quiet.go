@@ -114,20 +114,22 @@ func (q *QuietState) Step(prev []*LayerState) ([]*LayerState, bool) {
 		} else {
 			switch v := l.(type) {
 			case *SpikingConv2D:
-				u := q.current(i, func(zero *tensor.Tensor) *tensor.Tensor {
+				st = v.newState(q.batch)
+				copy(st.U.Data, q.current(i, func(zero *tensor.Tensor) *tensor.Tensor {
 					u := tensor.New(q.batch, v.outShape[0], v.outShape[1], v.outShape[2])
 					tensor.Conv2D(v.pool, u, zero, v.weight, v.bias, v.Spec, v.scratch)
 					return u
-				}).Clone()
-				st = v.fire(u, p, q.batch)
+				}).Data)
+				v.fire(v.pool, st, p)
 			case *SpikingLinear:
-				u := q.current(i, func(zero *tensor.Tensor) *tensor.Tensor {
+				st = v.newState(q.batch)
+				copy(st.U.Data, q.current(i, func(zero *tensor.Tensor) *tensor.Tensor {
 					u := tensor.New(q.batch, v.Out)
 					tensor.MatMulTransB(v.pool, u, v.flatten(zero), v.weight)
 					tensor.AddRowBias(u, v.bias)
 					return u
-				}).Clone()
-				st = v.fire(u, p, q.batch)
+				}).Data)
+				v.fire(v.pool, st, p)
 			default:
 				// Stateless shape transforms (pools, dropout): zero in means
 				// zero out, but the record (max-pool argmax planes, shapes)

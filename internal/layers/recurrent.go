@@ -96,94 +96,90 @@ func (l *RecurrentSpikingLinear) flatten(x *tensor.Tensor) *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *RecurrentSpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransB(l.pool, u, xf, l.weight)
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
+	return forwardWhole(l, l.pool, x, nil, prev)
 }
 
 // ForwardPacked implements PackedForward: both the feed-forward current and
 // the lateral recurrence gather straight from spike bits.
-func (l *RecurrentSpikingLinear) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransBPacked(l.pool, u, xp, l.weight)
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
+func (l *RecurrentSpikingLinear) ForwardPacked(x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
+	return forwardWhole(l, l.pool, x, xp, prev)
 }
 
-// fire folds in the lateral recurrence and the leak/reset step. The previous
-// state's spikes may be dense or packed (a lazy checkpoint record); both
-// recurrence kernels are bit-identical.
-func (l *RecurrentSpikingLinear) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
+func (l *RecurrentSpikingLinear) newState(b int) *LayerState {
+	return newRecord(b, []int{l.Out}, true)
+}
+
+// forward computes the feed-forward current, folds in the lateral
+// recurrence and the leak/reset step. The previous state's spikes may be
+// dense or packed (a lazy checkpoint record); both recurrence kernels are
+// bit-identical.
+func (l *RecurrentSpikingLinear) forward(c lane, st *LayerState, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) {
+	if xp != nil {
+		tensor.MatMulTransBPacked(c.pool, st.U, xp, l.weight)
+	} else {
+		tensor.MatMulTransB(c.pool, st.U, l.flatten(x), l.weight)
+	}
+	tensor.AddRowBias(st.U, l.bias)
 	if prev != nil {
-		rec := tensor.New(b, l.Out)
+		rec := tensor.New(st.U.Shape()...)
 		if prev.O != nil {
-			tensor.MatMulTransB(l.pool, rec, prev.O, l.recWeight)
+			tensor.MatMulTransB(c.pool, rec, prev.O, l.recWeight)
 		} else {
-			tensor.MatMulTransBPacked(l.pool, rec, prev.OPacked, l.recWeight)
+			tensor.MatMulTransBPacked(c.pool, rec, prev.OPacked, l.recWeight)
 		}
-		tensor.AXPY(u, 1, rec)
+		tensor.AXPY(st.U, 1, rec)
 	}
-	o := tensor.New(b, l.Out)
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
+	stepLIFPrev(c.pool, st.U, st.O, prev, l.Neuron)
 	if l.spikePack {
-		packOutput(st, o)
+		packOutput(st)
 	}
-	return st
 }
 
 // Backward implements Layer.
 func (l *RecurrentSpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	delta := l.deltaStep(st, gradOut, deltaIn, b)
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf)
-	tensor.SumPerColumn(l.gradB, delta)
-	return gradFlat.Reshape(x.Shape()...), &Delta{D: delta}
+	return backwardWhole(l, l.pool, x, nil, st, gradOut, deltaIn)
 }
 
 // BackwardPacked implements PackedBackward: the layer input feeds only the
 // feed-forward weight gradient, which the packed kernel accumulates
 // bit-identically from the spike bits.
 func (l *RecurrentSpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	b := xp.Shape()[0]
-	delta := l.deltaStep(st, gradOut, deltaIn, b)
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp)
-	tensor.SumPerColumn(l.gradB, delta)
-	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
+	return backwardWhole(l, l.pool, nil, xp, st, gradOut, deltaIn)
 }
 
-// deltaStep computes δ_t from the stored state, folding in the lateral
-// credit from t+1 and accumulating ∂W_rec. The stored spikes o_t may be
-// dense or packed (lazy boundary record).
-func (l *RecurrentSpikingLinear) deltaStep(st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta, b int) *tensor.Tensor {
+// backwardData computes δ_t, folding in the lateral credit from t+1, and
+// ∂L/∂x = δ·W.
+func (l *RecurrentSpikingLinear) backwardData(c lane, gradIn *tensor.Tensor, d *Delta, _ *tensor.Tensor, _ *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) {
 	// Total ∂L/∂o_t: the downstream gradient plus the lateral credit from
 	// t+1 (δ_{t+1} entered U_{t+1} through W_rec·o_t).
 	gradO := gradOut.Clone()
-	var next *tensor.Tensor
-	if deltaIn != nil && deltaIn.D != nil {
-		next = deltaIn.D
-		lat := tensor.New(b, l.Out)
-		tensor.MatMul(l.pool, lat, next, l.recWeight)
+	next := deltaIn.next()
+	if next != nil {
+		lat := tensor.New(next.Shape()...)
+		tensor.MatMul(c.pool, lat, next, l.recWeight)
 		tensor.AXPY(gradO, 1, lat)
-		// ∂W_rec += δ_{t+1}ᵀ · o_t
+	}
+	snn.SurrogateDelta(c.pool, d.D, st.U, gradO, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
+	tensor.MatMul(c.pool, gradIn.Reshape(d.D.Dim(0), l.inFeatures), d.D, l.weight)
+}
+
+// accumulate adds ∂W_rec += δ_{t+1}ᵀ·o_t, ∂W += δᵀ·x and ∂b += Σ_batch δ
+// over the full batch. The stored spikes o_t and the input may be dense or
+// packed.
+func (l *RecurrentSpikingLinear) accumulate(p *parallel.Pool, x *tensor.Tensor, xp *tensor.PackedSpikes, st *LayerState, d, deltaIn *Delta) {
+	if next := deltaIn.next(); next != nil {
 		if st.O != nil {
-			tensor.MatMulTransAAcc(l.pool, l.gradRec, next, st.O)
+			tensor.MatMulTransAAcc(p, l.gradRec, next, st.O)
 		} else {
-			tensor.MatMulTransAPackedAcc(l.pool, l.gradRec, next, st.OPacked)
+			tensor.MatMulTransAPackedAcc(p, l.gradRec, next, st.OPacked)
 		}
 	}
-	delta := tensor.New(b, l.Out)
-	snn.SurrogateDelta(l.pool, delta, st.U, gradO, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	return delta
+	if xp != nil {
+		tensor.MatMulTransAPackedAcc(p, l.gradW, d.D, xp)
+	} else {
+		tensor.MatMulTransAAcc(p, l.gradW, d.D, l.flatten(x))
+	}
+	tensor.SumPerColumn(l.gradB, d.D)
 }
 
 // StateBytes implements Layer.

@@ -31,10 +31,16 @@ type ResidualBlock struct {
 	scratch                     *tensor.Scratch
 	colLen                      int
 	spikePack                   bool
+	// Per-image gradient terms of the two stages and the projection,
+	// reused within an iteration.
+	terms1, terms2, termsSC *tensor.Tensor
 }
 
 // SetPool implements PoolAware.
-func (l *ResidualBlock) SetPool(p *parallel.Pool) { l.pool = p }
+func (l *ResidualBlock) SetPool(p *parallel.Pool) {
+	l.pool = p
+	reserveLanes(l.scratch, p)
+}
 
 // SetSpikePack implements SpikePackAware.
 func (l *ResidualBlock) SetSpikePack(on bool) { l.spikePack = on }
@@ -96,6 +102,7 @@ func (l *ResidualBlock) Build(inShape []int, rng *tensor.RNG) ([]int, error) {
 	}
 	l.colLen = n
 	l.scratch = tensor.NewScratch()
+	reserveLanes(l.scratch, l.pool)
 	return l.outShape, nil
 }
 
@@ -116,146 +123,128 @@ func (l *ResidualBlock) Params() []Param {
 // Forward implements Layer. State layout: top-level (U,O) is the second LIF
 // stage; Sub[0] is the first LIF stage.
 func (l *ResidualBlock) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	b := x.Dim(0)
-	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
-	tensor.Conv2D(l.pool, u1, x, l.w1, l.b1, l.spec1, l.scratch)
-	return l.fire(u1, x, nil, prev, b)
+	return forwardWhole(l, l.pool, x, nil, prev)
 }
 
 // ForwardPacked implements PackedForward. The convolutions gather from the
 // input spike bits; the identity shortcut adds the dense view (an
 // elementwise add has nothing to gain from packing).
 func (l *ResidualBlock) ForwardPacked(x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
-	tensor.Conv2DPacked(l.pool, u1, xp, l.w1, l.b1, l.spec1, l.scratch)
-	return l.fire(u1, x, xp, prev, b)
+	return forwardWhole(l, l.pool, x, xp, prev)
 }
 
-// fire runs both LIF stages and the shortcut from the first stage's synaptic
-// current u1. x is the dense block input; xp is its packed view (nil on the
-// dense path).
-func (l *ResidualBlock) fire(u1, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState, b int) *LayerState {
-	o1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
+func (l *ResidualBlock) newState(b int) *LayerState {
+	st := newRecord(b, l.outShape, true)
+	st.Sub = []*LayerState{newRecord(b, l.midShape, true)}
+	return st
+}
+
+// forward runs both LIF stages and the shortcut. x is the dense block
+// input; xp is its packed view (nil on the dense path).
+func (l *ResidualBlock) forward(c lane, st *LayerState, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) {
+	p := c.pool
+	st1 := st.Sub[0]
+	l.conv(p, st1.U, x, xp, l.w1, l.b1, l.spec1)
 	var p1, p2 *LayerState
 	if prev != nil {
 		p1 = prev.Sub[0]
 		p2 = prev
 	}
-	stepLIFPrev(l.pool, u1, o1, p1, l.Neuron)
-	st1 := &LayerState{U: u1, O: o1}
+	stepLIFPrev(p, st1.U, st1.O, p1, l.Neuron)
 	if l.spikePack {
-		packOutput(st1, o1)
+		packOutput(st1)
 	}
-
-	u2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	o2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	if st1.OPacked != nil {
-		tensor.Conv2DPacked(l.pool, u2, st1.OPacked, l.w2, l.b2, l.spec2, l.scratch)
-	} else {
-		tensor.Conv2D(l.pool, u2, o1, l.w2, l.b2, l.spec2, l.scratch)
-	}
+	l.conv(p, st.U, st1.O, st1.OPacked, l.w2, l.b2, l.spec2)
 	// Shortcut current joins before the second LIF.
 	if l.identity {
-		tensor.AXPY(u2, 1, x)
+		tensor.AXPY(st.U, 1, x)
 	} else {
-		sc := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-		if xp != nil {
-			tensor.Conv2DPacked(l.pool, sc, xp, l.wsc, nil, l.specSC, l.scratch)
-		} else {
-			tensor.Conv2D(l.pool, sc, x, l.wsc, nil, l.specSC, l.scratch)
-		}
-		tensor.AXPY(u2, 1, sc)
+		sc := tensor.New(st.U.Shape()...)
+		l.conv(p, sc, x, xp, l.wsc, nil, l.specSC)
+		tensor.AXPY(st.U, 1, sc)
 	}
-	stepLIFPrev(l.pool, u2, o2, p2, l.Neuron)
-	st := &LayerState{U: u2, O: o2, Sub: []*LayerState{st1}}
+	stepLIFPrev(p, st.U, st.O, p2, l.Neuron)
 	if l.spikePack {
-		packOutput(st, o2)
+		packOutput(st)
 	}
-	return st
+}
+
+// conv runs one of the block's convolutions, from the packed spikes when
+// there are any.
+func (l *ResidualBlock) conv(p *parallel.Pool, out, x *tensor.Tensor, xp *tensor.PackedSpikes, w, b *tensor.Tensor, s tensor.ConvSpec) {
+	if xp != nil {
+		tensor.Conv2DPacked(p, out, xp, w, b, s, l.scratch)
+		return
+	}
+	tensor.Conv2D(p, out, x, w, b, s, l.scratch)
 }
 
 // Backward implements Layer, unwinding the two LIF stages and the shortcut.
 func (l *ResidualBlock) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	theta := l.Neuron.Threshold
-	// Second stage: δ2 = σ'(U2)⊙gradOut + λ·δ2_{t+1}
-	delta2 := tensor.New(st.U.Shape()...)
-	var next2 *tensor.Tensor
-	if deltaIn != nil {
-		next2 = deltaIn.D
-	}
-	snn.SurrogateDelta(l.pool, delta2, st.U, gradOut, next2, theta, l.Neuron.Leak, l.Surrogate)
-	st1 := st.Sub[0]
-	// Main path through conv2 to the first stage's output.
-	gradO1 := tensor.New(st1.OutShape()...)
-	tensor.Conv2DGradInput(l.pool, gradO1, delta2, l.w2, l.spec2, l.scratch)
-	l.gradWeightStage(l.gw2, l.gb2, delta2, st1, l.spec2)
-	// Shortcut path straight to the block input.
-	gradIn := tensor.New(x.Shape()...)
-	if l.identity {
-		copy(gradIn.Data, delta2.Data)
-	} else {
-		tensor.Conv2DGradInput(l.pool, gradIn, delta2, l.wsc, l.specSC, l.scratch)
-		tensor.Conv2DGradWeight(l.pool, l.gwsc, nil, delta2, x, l.specSC, l.scratch)
-	}
-	// First stage: δ1 = σ'(U1)⊙gradO1 + λ·δ1_{t+1}
-	delta1 := tensor.New(st1.U.Shape()...)
-	var next1 *tensor.Tensor
-	if deltaIn != nil && len(deltaIn.Sub) > 0 {
-		next1 = deltaIn.Sub[0].D
-	}
-	snn.SurrogateDelta(l.pool, delta1, st1.U, gradO1, next1, theta, l.Neuron.Leak, l.Surrogate)
-	gradMain := tensor.New(x.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradMain, delta1, l.w1, l.spec1, l.scratch)
-	tensor.Conv2DGradWeight(l.pool, l.gw1, l.gb1, delta1, x, l.spec1, l.scratch)
-	tensor.AXPY(gradIn, 1, gradMain)
-	return gradIn, &Delta{D: delta2, Sub: []*Delta{{D: delta1}}}
+	return backwardWhole(l, l.pool, x, nil, st, gradOut, deltaIn)
 }
 
 // BackwardPacked implements PackedBackward: both conv stages and the
 // projection shortcut take their weight gradients straight from the packed
 // spikes; the identity shortcut never touches the input at all.
 func (l *ResidualBlock) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	theta := l.Neuron.Threshold
-	delta2 := tensor.New(st.U.Shape()...)
-	var next2 *tensor.Tensor
-	if deltaIn != nil {
-		next2 = deltaIn.D
+	return backwardWhole(l, l.pool, nil, xp, st, gradOut, deltaIn)
+}
+
+func (l *ResidualBlock) reserveTerms(b int) {
+	l.terms1 = growTerms(l.terms1, b, l.spec1.TermLen(true))
+	l.terms2 = growTerms(l.terms2, b, l.spec2.TermLen(true))
+	if !l.identity {
+		l.termsSC = growTerms(l.termsSC, b, l.specSC.TermLen(false))
 	}
-	snn.SurrogateDelta(l.pool, delta2, st.U, gradOut, next2, theta, l.Neuron.Leak, l.Surrogate)
+}
+
+// EndIteration releases the gradient-term buffers; see
+// SpikingConv2D.EndIteration.
+func (l *ResidualBlock) EndIteration() { l.terms1, l.terms2, l.termsSC = nil, nil, nil }
+
+// backwardData unwinds both stages and the shortcut into δ and ∂L/∂x,
+// writing each image's gradient terms of all three convolutions. The first
+// stage's spikes may be packed, dense, or both (packed preferred: the
+// kernels are bit-identical either way).
+func (l *ResidualBlock) backwardData(c lane, gradIn *tensor.Tensor, d *Delta, x *tensor.Tensor, xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) {
+	p := c.pool
+	theta := l.Neuron.Threshold
+	// Second stage: δ2 = σ'(U2)⊙gradOut + λ·δ2_{t+1}
+	delta2 := d.D
+	snn.SurrogateDelta(p, delta2, st.U, gradOut, deltaIn.next(), theta, l.Neuron.Leak, l.Surrogate)
 	st1 := st.Sub[0]
+	// Main path through conv2 to the first stage's output.
 	gradO1 := tensor.New(st1.OutShape()...)
-	tensor.Conv2DGradInput(l.pool, gradO1, delta2, l.w2, l.spec2, l.scratch)
-	l.gradWeightStage(l.gw2, l.gb2, delta2, st1, l.spec2)
-	gradIn := tensor.New(xp.Shape()...)
+	tensor.Conv2DGradInput(p, gradO1, delta2, l.w2, l.spec2, l.scratch)
+	convTerms(c, l.terms2, delta2, st1.O, st1.OPacked, l.spec2, true, l.scratch)
+	// Shortcut path straight to the block input.
 	if l.identity {
 		copy(gradIn.Data, delta2.Data)
 	} else {
-		tensor.Conv2DGradInput(l.pool, gradIn, delta2, l.wsc, l.specSC, l.scratch)
-		tensor.Conv2DGradWeightPacked(l.pool, l.gwsc, nil, delta2, xp, l.specSC, l.scratch)
+		tensor.Conv2DGradInput(p, gradIn, delta2, l.wsc, l.specSC, l.scratch)
+		convTerms(c, l.termsSC, delta2, x, xp, l.specSC, false, l.scratch)
 	}
-	delta1 := tensor.New(st1.U.Shape()...)
+	// First stage: δ1 = σ'(U1)⊙gradO1 + λ·δ1_{t+1}
+	delta1 := d.Sub[0].D
 	var next1 *tensor.Tensor
 	if deltaIn != nil && len(deltaIn.Sub) > 0 {
 		next1 = deltaIn.Sub[0].D
 	}
-	snn.SurrogateDelta(l.pool, delta1, st1.U, gradO1, next1, theta, l.Neuron.Leak, l.Surrogate)
-	gradMain := tensor.New(xp.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradMain, delta1, l.w1, l.spec1, l.scratch)
-	tensor.Conv2DGradWeightPacked(l.pool, l.gw1, l.gb1, delta1, xp, l.spec1, l.scratch)
+	snn.SurrogateDelta(p, delta1, st1.U, gradO1, next1, theta, l.Neuron.Leak, l.Surrogate)
+	gradMain := tensor.New(gradIn.Shape()...)
+	tensor.Conv2DGradInput(p, gradMain, delta1, l.w1, l.spec1, l.scratch)
+	convTerms(c, l.terms1, delta1, x, xp, l.spec1, true, l.scratch)
 	tensor.AXPY(gradIn, 1, gradMain)
-	return gradIn, &Delta{D: delta2, Sub: []*Delta{{D: delta1}}}
 }
 
-// gradWeightStage accumulates one conv stage's weight gradient from a
-// sub-state whose spikes may be packed, dense, or both (packed preferred:
-// the kernels are bit-identical either way).
-func (l *ResidualBlock) gradWeightStage(gw, gb, delta *tensor.Tensor, st1 *LayerState, spec tensor.ConvSpec) {
-	if st1.OPacked != nil {
-		tensor.Conv2DGradWeightPacked(l.pool, gw, gb, delta, st1.OPacked, spec, l.scratch)
-		return
+// accumulate folds the three convolutions' per-image terms in image order.
+func (l *ResidualBlock) accumulate(p *parallel.Pool, _ *tensor.Tensor, _ *tensor.PackedSpikes, _ *LayerState, _, _ *Delta) {
+	tensor.FoldConvTerms(p, l.gw2, l.gb2, l.terms2)
+	if !l.identity {
+		tensor.FoldConvTerms(p, l.gwsc, nil, l.termsSC)
 	}
-	tensor.Conv2DGradWeight(l.pool, gw, gb, delta, st1.DenseO(), spec, l.scratch)
+	tensor.FoldConvTerms(p, l.gw1, l.gb1, l.terms1)
 }
 
 // StateBytes implements Layer: both stages' (U,O) per stored timestep.

@@ -1,31 +1,44 @@
 // Package parallel is the shared execution runtime the hot tensor kernels
-// run on: a pool of long-lived worker goroutines that fan statically
-// partitioned index ranges out across CPU cores.
+// and the network step run on: a pool of long-lived worker goroutines that
+// fan statically partitioned index ranges out across CPU cores.
 //
 // # Determinism contract
 //
-// Every kernel built on the pool partitions its OUTPUT elements, never a
-// shared accumulator: a range [0,n) is split into contiguous lanes, each
-// output element is computed entirely inside the lane that owns it, and the
-// per-element arithmetic is byte-for-byte the code the serial path runs.
-// Because no float is ever combined across lanes, the result is bit-identical
-// to the serial kernel for every pool size — the lane boundaries only decide
-// WHO computes an element, not HOW it is computed. This is what keeps
+// Work is partitioned by OUTPUT ownership, never by a shared accumulator: a
+// range [0,n) is split into contiguous lanes, each output element is
+// computed entirely inside the lane that owns it, and the per-element
+// arithmetic is byte-for-byte the code the serial path runs. The lane
+// boundaries only decide WHO computes an element, not HOW, so results are
+// bit-identical to the serial path for every pool size. This is what keeps
 // kill/resume replays and the divergence-guard equality checks exact when
-// threads > 1, and it is stronger than an ordered reduction: there is no
-// reduction at all.
+// threads > 1.
+//
+// The network step (layers.Network.ForwardStep/BackwardStep) applies the
+// contract at sample granularity. Each timestep is one Run over the batch:
+// a lane owns a contiguous sample range and carries it through the whole
+// layer stack, so every per-sample output — membranes, spikes, δ, ∂L/∂x —
+// is written by exactly one lane. Parameter gradients are the one sum that
+// crosses samples. Lanes write each sample's term into that sample's own
+// slot; after the join the network folds the terms into the gradient in
+// ascending sample order, the same sequence of float additions the serial
+// loop performs. A layer whose forward couples samples (batch norm) runs
+// whole-batch between sharded runs.
 //
 // # Scheduling
 //
 // Run splits [0,n) into at most Lanes() near-equal contiguous chunks. The
 // submitting goroutine always executes lane 0 itself (so a pool is never
 // idle-blocked on its own submitter) and hands lanes 1..L-1 to the worker
-// goroutines. Multiple goroutines may submit to one pool concurrently — the
+// goroutines; when its own lane is done it runs any of them no worker has
+// started, so a Run never waits on a lane queued behind other work. Which
+// goroutine runs a lane never changes the lane's index or range. Multiple goroutines may submit to one pool concurrently — the
 // serving worker replicas share a single pool this way — because lane
 // scratch is owned by the caller (see tensor.Scratch), not the pool.
 //
 // Kernels are leaves: fn must not call back into Run on the same pool, or a
-// busy pool can deadlock waiting on itself.
+// busy pool can deadlock waiting on itself. Code running inside a lane that
+// needs to call kernels hands them Lane(lane), an inline pool that runs
+// every Run on the calling goroutine under that lane's index.
 package parallel
 
 import (
@@ -41,8 +54,12 @@ import (
 // everywhere and runs everything inline on the calling goroutine — it is the
 // canonical "serial" pool.
 type Pool struct {
-	lanes     int
-	tasks     chan task
+	lanes int
+	// inline marks a Lane pool: every Run executes on the calling goroutine
+	// as lane self, and nothing is counted in the utilization stats.
+	inline    bool
+	self      int
+	tasks     chan *task
 	closeOnce sync.Once
 
 	// Lane-utilization counters: how many Run/RunGrain calls the pool served
@@ -54,10 +71,22 @@ type Pool struct {
 	tracer    atomic.Pointer[trace.Tracer]
 }
 
+// task is one lane of a Run handed to the workers. It runs exactly once, on
+// whichever goroutine claims it first: a worker, or the submitter once its
+// own lane is done.
 type task struct {
 	fn           func(lane, lo, hi int)
 	lane, lo, hi int
 	wg           *sync.WaitGroup
+	claimed      atomic.Bool
+}
+
+// run executes the task unless another goroutine already claimed it.
+func (t *task) run() {
+	if t.claimed.CompareAndSwap(false, true) {
+		t.fn(t.lane, t.lo, t.hi)
+		t.wg.Done()
+	}
 }
 
 // NewPool builds a pool with the given number of lanes. threads <= 0 means
@@ -68,7 +97,7 @@ func NewPool(threads int) *Pool {
 	}
 	p := &Pool{lanes: threads}
 	if threads > 1 {
-		p.tasks = make(chan task, 4*threads)
+		p.tasks = make(chan *task, 4*threads)
 		// Lane 0 of every Run executes on the submitting goroutine, so
 		// threads-1 workers saturate the requested width.
 		for i := 0; i < threads-1; i++ {
@@ -78,10 +107,16 @@ func NewPool(threads int) *Pool {
 	return p
 }
 
+// Lane returns an inline one-lane pool standing for lane index lane of an
+// enclosing Run. Every Run on it calls fn(lane, 0, n) on the calling
+// goroutine, so a kernel invoked from inside that lane keys its scratch by
+// the lane's index and never re-enters the enclosing pool. Callers must size
+// per-lane scratch for the enclosing pool's width before dispatching.
+func Lane(lane int) *Pool { return &Pool{lanes: 1, inline: true, self: lane} }
+
 func (p *Pool) work() {
 	for t := range p.tasks {
-		t.fn(t.lane, t.lo, t.hi)
-		t.wg.Done()
+		t.run()
 	}
 }
 
@@ -125,7 +160,11 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 	}
 	if lanes <= 1 {
 		p.observe(1)
-		fn(0, 0, n)
+		self := 0
+		if p != nil {
+			self = p.self
+		}
+		fn(self, 0, n)
 		return
 	}
 	p.observe(lanes)
@@ -137,17 +176,24 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 		lane0hi++
 	}
 	var wg sync.WaitGroup
+	ts := make([]task, lanes-1)
 	lo := lane0hi
-	for lane := 1; lane < lanes; lane++ {
-		hi := lo + base
-		if lane < rem {
-			hi++
+	for i := range ts {
+		t := &ts[i]
+		t.fn, t.lane, t.lo, t.hi, t.wg = fn, i+1, lo, lo+base, &wg
+		if t.lane < rem {
+			t.hi++
 		}
+		lo = t.hi
 		wg.Add(1)
-		p.tasks <- task{fn: fn, lane: lane, lo: lo, hi: hi, wg: &wg}
-		lo = hi
+		p.tasks <- t
 	}
 	fn(0, 0, lane0hi)
+	// Lanes no worker has started yet — the workers are busy with other
+	// submitters' lanes, or still waking — run here instead of waiting.
+	for i := len(ts) - 1; i >= 0; i-- {
+		ts[i].run()
+	}
 	wg.Wait()
 }
 
@@ -156,7 +202,7 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 // (every 1024th call — kernels submit thousands of Runs per batch, and the
 // sampled series is plenty to see utilization collapse in a trace).
 func (p *Pool) observe(lanes int) {
-	if p == nil {
+	if p == nil || p.inline {
 		return
 	}
 	runs := p.runs.Add(1)

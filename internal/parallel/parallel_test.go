@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunCoversRangeDisjointly checks every index in [0,n) is visited exactly
@@ -73,6 +74,88 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Fatal("nil pool never invoked fn")
 	}
 	p.Close() // must not panic
+}
+
+// TestLanePoolRunsInlineAsItsLane checks a Lane pool: one lane, every Run
+// inline under the lane index it stands for, nothing counted, and safe to
+// use from inside the lanes of an enclosing Run.
+func TestLanePoolRunsInlineAsItsLane(t *testing.T) {
+	outer := NewPool(3)
+	defer outer.Close()
+	lanes := []*Pool{Lane(0), Lane(1), Lane(2)}
+	for k, lp := range lanes {
+		if lp.Lanes() != 1 {
+			t.Fatalf("Lane(%d).Lanes() = %d, want 1", k, lp.Lanes())
+		}
+	}
+	seen := make([]int32, 3)
+	outer.Run(30, func(lane, lo, hi int) {
+		lanes[lane].RunGrain(hi-lo, 1, func(inner, ilo, ihi int) {
+			if inner != lane || ilo != 0 || ihi != hi-lo {
+				t.Errorf("lane %d: inner run gave lane=%d [%d,%d), want lane %d [0,%d)", lane, inner, ilo, ihi, lane, hi-lo)
+			}
+			atomic.AddInt32(&seen[lane], 1)
+		})
+	})
+	for k, c := range seen {
+		if c != 1 {
+			t.Fatalf("lane %d ran its inner Run %d times, want 1", k, c)
+		}
+	}
+	for k, lp := range lanes {
+		if s := lp.Stats(); s != (PoolStats{}) {
+			t.Fatalf("Lane(%d) counted %+v, want nothing", k, s)
+		}
+	}
+	if s := outer.Stats(); s.Runs != 1 || s.LanesUsed != 3 {
+		t.Fatalf("outer stats %+v, want one 3-lane run", s)
+	}
+}
+
+// TestRunRunsUnstartedLanesItself pins that a Run never waits on a lane
+// queued behind another submitter's work: with the only worker blocked
+// inside someone else's Run, a second Run still completes, its submitter
+// running the queued lane under that lane's own index.
+func TestRunRunsUnstartedLanesItself(t *testing.T) {
+	p := NewPool(2) // one worker goroutine
+	defer p.Close()
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(2)
+	done := make(chan struct{})
+	go func() {
+		p.Run(2, func(_, _, _ int) {
+			started.Done()
+			<-release // holds the submitter and the worker
+		})
+		close(done)
+	}()
+	started.Wait()
+	defer func() {
+		close(release)
+		<-done
+	}()
+	var seen [2]atomic.Int32
+	second := make(chan struct{})
+	go func() {
+		p.Run(2, func(lane, lo, hi int) {
+			if lo != lane || hi != lane+1 {
+				t.Errorf("lane %d got [%d,%d), want [%d,%d)", lane, lo, hi, lane, lane+1)
+			}
+			seen[lane].Add(1)
+		})
+		close(second)
+	}()
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Run waited on a lane queued behind the blocked worker")
+	}
+	for lane := range seen {
+		if n := seen[lane].Load(); n != 1 {
+			t.Fatalf("lane %d ran %d times, want 1", lane, n)
+		}
+	}
 }
 
 // TestRunGrainFloorsLaneWork checks small inputs collapse to fewer lanes so

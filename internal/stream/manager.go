@@ -165,7 +165,7 @@ func (m *Manager) Open(req OpenRequest) (OpenReply, *Error) {
 		if s.sealed {
 			return OpenReply{}, errf(CodeMoved, "session %s was exported to another replica", s.ID)
 		}
-		s.lastActive = m.cfg.Clock.Now()
+		s.touch(m.cfg.Clock.Now())
 		m.resumed.Add(1)
 		m.event("stream_resume_live")
 		return s.openReply(true), nil
@@ -227,7 +227,7 @@ func (m *Manager) install(rec *runstate.SessionRecord) (*Session, *Error) {
 // add registers a freshly built session (losing the race to a concurrent
 // open of the same id is an error: membrane state must never fork).
 func (m *Manager) add(s *Session) *Error {
-	s.lastActive = m.cfg.Clock.Now()
+	s.touch(m.cfg.Clock.Now())
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
@@ -256,7 +256,7 @@ func (m *Manager) Window(req WindowRequest) (WindowReply, *Error) {
 	if serr != nil {
 		return WindowReply{}, serr
 	}
-	s.lastActive = m.cfg.Clock.Now()
+	s.touch(m.cfg.Clock.Now())
 	m.windows.Add(1)
 	m.quiet.Add(s.stream.QuietSteps - q0)
 	m.full.Add(s.stream.FullSteps - f0)
@@ -456,7 +456,7 @@ func (m *Manager) evictIdle() {
 	m.mu.Lock()
 	var idle []*Session
 	for _, s := range m.sessions {
-		if now.Sub(s.lastActive) > m.cfg.TTL {
+		if s.idleSince(now) > m.cfg.TTL {
 			idle = append(idle, s)
 		}
 	}
@@ -464,7 +464,7 @@ func (m *Manager) evictIdle() {
 	for _, s := range idle {
 		s.mu.Lock()
 		// Re-check under the session lock: a window may have landed since.
-		if now.Sub(s.lastActive) > m.cfg.TTL && !s.sealed {
+		if s.idleSince(now) > m.cfg.TTL && !s.sealed {
 			if m.cfg.Store != nil {
 				m.snapshotLocked(s)
 			}

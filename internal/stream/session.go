@@ -2,6 +2,7 @@ package stream
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skipper/internal/core"
@@ -36,7 +37,10 @@ type Session struct {
 	windowsSkipped int64
 	windowsTotal   int64
 
-	lastActive time.Time
+	// lastActive is the Clock time of the last open or window, in unix
+	// nanoseconds. It is atomic because the idle sweep reads it under the
+	// manager's registry lock, not the session lock its writers hold.
+	lastActive atomic.Int64
 	// sealed marks a session exported away: the state left with the
 	// record, so further windows must go to the importing replica.
 	sealed bool
@@ -67,6 +71,14 @@ func newSession(cfg Config, id string, seed uint64, threshold int) (*Session, er
 		inVolume:      tensor.Volume(net.InShape),
 		classes:       net.OutShape()[0],
 	}, nil
+}
+
+// touch records t as the session's last activity.
+func (s *Session) touch(t time.Time) { s.lastActive.Store(t.UnixNano()) }
+
+// idleSince reports how long the session has been idle at now.
+func (s *Session) idleSince(now time.Time) time.Duration {
+	return now.Sub(time.Unix(0, s.lastActive.Load()))
 }
 
 // openReply renders the session's resume coordinates. Callers hold s.mu or

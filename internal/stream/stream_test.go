@@ -525,3 +525,35 @@ func TestStreamHandleFrameRoundTrip(t *testing.T) {
 		t.Fatalf("close left %d sessions", m.Count())
 	}
 }
+
+// TestStreamIdleSweepRacesWindow runs the idle sweep concurrently with
+// windows on a live session. The sweep reads each session's activity stamp
+// under the registry lock while Window writes it under the session lock, so
+// the stamp must be safe to read without the session lock; under
+// `go test -race` this test fails if it is not.
+func TestStreamIdleSweepRacesWindow(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.TTL = time.Hour // the sweep runs but never evicts
+	m := newTestManager(t, cfg)
+	open(t, m, "s")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				m.evictIdle()
+			}
+		}
+	}()
+	feed(t, m, "s", 0, 8)
+	close(done)
+	wg.Wait()
+	if m.Count() != 1 {
+		t.Fatalf("sweep evicted a live session: %d sessions", m.Count())
+	}
+}

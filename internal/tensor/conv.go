@@ -117,13 +117,13 @@ func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
-	checkConvShapes("Conv2D", out, x, weight, s, n, oh, ow)
+	checkConvShapes("Conv2D", out, x, weight.Shape(), s, n, oh, ow)
 	k := s.InChannels * s.KernelH * s.KernelW
 	ohw := oh * ow
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.reserve(p.Lanes())
+	sc.Reserve(p.Lanes())
 	wMat := weight.Data // [Cout, k] row-major view
 	p.Run(n, func(lane, lo, hi int) {
 		col := sc.lane(lane, k*ohw)
@@ -149,13 +149,13 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 	xs := dx.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
-	checkConvShapes("Conv2DGradInput", dout, dx, weight, s, n, oh, ow)
+	checkConvShapes("Conv2DGradInput", dout, dx, weight.Shape(), s, n, oh, ow)
 	k := s.InChannels * s.KernelH * s.KernelW
 	ohw := oh * ow
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.reserve(p.Lanes())
+	sc.Reserve(p.Lanes())
 	dx.Zero()
 	p.Run(n, func(lane, lo, hi int) {
 		col := sc.lane(lane, k*ohw)
@@ -184,54 +184,141 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 	})
 }
 
-// Conv2DGradWeight accumulates dW += convBackwardWeight(dout, x) and, when
-// dbias is non-nil, dbias += per-channel sums of dout. x is the forward input
-// [N,Cin,H,W]; dout [N,Cout,OH,OW]; dw [Cout,Cin,KH,KW].
+// TermLen returns the length of one image's gradient terms (see
+// Conv2DGradTerms): one per weight element, plus one per output channel
+// when the bias gradient is carried too.
+func (s ConvSpec) TermLen(bias bool) int {
+	n := s.OutChannels * s.InChannels * s.KernelH * s.KernelW
+	if bias {
+		n += s.OutChannels
+	}
+	return n
+}
+
+// Conv2DGradTerms writes each image's contribution to the convolution's
+// parameter gradients into that image's row of terms [N, TermLen(bias)]:
 //
-// Parallelism is over OUTPUT channels, not images: each lane owns a disjoint
-// block of dW rows and walks the whole batch in ascending image order with a
-// private im2col column, so every dW element accumulates its per-image terms
-// in exactly the serial order — no cross-lane partial accumulators, no
-// reduction, bit-identical results for every pool size.
-func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
+//	terms[img][co,kk]  = Σ_j dout[img,co,j] · im2col(x[img])[kk,j]
+//	terms[img][W+co]   = Σ_j dout[img,co,j]          (with bias)
+//
+// x is the forward input [N,Cin,H,W] and dout [N,Cout,OH,OW]. Images
+// partition across lanes, each lowering its images once into a private
+// im2col column from sc. Each term is one image's complete inner sum, so
+// FoldConvTerms over the rows in ascending image order reproduces the
+// serial per-image accumulation exactly.
+func Conv2DGradTerms(p *parallel.Pool, terms, dout, x *Tensor, s ConvSpec, bias bool, sc *Scratch) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
-	checkConvShapes("Conv2DGradWeight", dout, x, dw, s, n, oh, ow)
+	checkConvShapes("Conv2DGradTerms", dout, x, s.weightShape(), s, n, oh, ow)
+	checkTerms("Conv2DGradTerms", terms, n, s.TermLen(bias))
 	k := s.InChannels * s.KernelH * s.KernelW
 	ohw := oh * ow
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.reserve(p.Lanes())
-	p.Run(s.OutChannels, func(lane, lo, hi int) {
+	sc.Reserve(p.Lanes())
+	p.Run(n, func(lane, lo, hi int) {
 		col := sc.lane(lane, k*ohw)
-		for img := 0; img < n; img++ {
+		for img := lo; img < hi; img++ {
 			Im2Col(col, x.Data[img*c*h*w:(img+1)*c*h*w], c, h, w, s)
 			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			// dW[co,kk] += Σ_j dout[co,j] * col[kk,j]
-			for co := lo; co < hi; co++ {
+			row := terms.Data[img*terms.shape[1] : (img+1)*terms.shape[1]]
+			for co := 0; co < s.OutChannels; co++ {
 				drow := dslice[co*ohw : (co+1)*ohw]
-				wrow := dw.Data[co*k : (co+1)*k]
+				wrow := row[co*k : (co+1)*k]
 				for kk := 0; kk < k; kk++ {
 					crow := col[kk*ohw : (kk+1)*ohw]
 					var sum float32
 					for j := range drow {
 						sum += drow[j] * crow[j]
 					}
-					wrow[kk] += sum
+					wrow[kk] = sum
 				}
+			}
+			if bias {
+				biasTerms(row[s.OutChannels*k:], dslice, ohw)
 			}
 		}
 	})
-	if dbias != nil {
-		SumPerChannel(dbias, dout)
+}
+
+// biasTerms writes one image's per-channel sums of dout — the same
+// per-(image, channel) inner sum SumPerChannel forms.
+func biasTerms(dst, dslice []float32, ohw int) {
+	for co := range dst {
+		var sum float32
+		for _, v := range dslice[co*ohw : (co+1)*ohw] {
+			sum += v
+		}
+		dst[co] = sum
 	}
 }
 
-func checkConvShapes(op string, out, x, weight *Tensor, s ConvSpec, n, oh, ow int) {
+// FoldConvTerms accumulates the rows of terms [N, TermLen] into dw (and,
+// when dbias is non-nil, dbias) in ascending row order:
+// dw[e] += terms[0][e]; dw[e] += terms[1][e]; … — the same sequence of float
+// additions the serial per-image loop performs, so the fold is exact.
+// Elements partition across lanes; no float crosses a lane.
+func FoldConvTerms(p *parallel.Pool, dw, dbias, terms *Tensor) {
+	nw := dw.Len()
+	want := nw
+	if dbias != nil {
+		want += dbias.Len()
+	}
+	if terms.Rank() != 2 || terms.shape[1] != want {
+		panic(fmt.Sprintf("tensor: FoldConvTerms terms shape %v, want [N %d]", terms.shape, want))
+	}
+	rows, stride := terms.shape[0], terms.shape[1]
+	foldRows(p, dw.Data, terms.Data, rows, stride, 0)
+	if dbias != nil {
+		foldRows(p, dbias.Data, terms.Data, rows, stride, nw)
+	}
+}
+
+// foldRows adds column block [off, off+len(dst)) of each row of a
+// rows×stride matrix into dst, rows in ascending order.
+func foldRows(p *parallel.Pool, dst, src []float32, rows, stride, off int) {
+	p.RunGrain(len(dst), grainFor(rows), func(_, lo, hi int) {
+		d := dst[lo:hi]
+		for r := 0; r < rows; r++ {
+			base := r*stride + off
+			for i, v := range src[base+lo : base+hi] {
+				d[i] += v
+			}
+		}
+	})
+}
+
+// weightShape is the [Cout,Cin,KH,KW] shape of the spec's weight.
+func (s ConvSpec) weightShape() []int {
+	return []int{s.OutChannels, s.InChannels, s.KernelH, s.KernelW}
+}
+
+// checkTerms validates a per-image terms matrix [n, length].
+func checkTerms(op string, terms *Tensor, n, length int) {
+	if ts := terms.Shape(); len(ts) != 2 || ts[0] != n || ts[1] != length {
+		panic(fmt.Sprintf("tensor: %s terms shape %v, want [%d %d]", op, ts, n, length))
+	}
+}
+
+// Conv2DGradWeight accumulates dW += convBackwardWeight(dout, x) and, when
+// dbias is non-nil, dbias += per-channel sums of dout. x is the forward input
+// [N,Cin,H,W]; dout [N,Cout,OH,OW]; dw [Cout,Cin,KH,KW].
+//
+// It is Conv2DGradTerms into a transient terms matrix followed by
+// FoldConvTerms: images partition across lanes (each image lowered once),
+// and the fold adds the per-image terms in ascending image order, so every
+// dW element sees exactly the serial sequence of additions at every pool
+// size.
+func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
+	terms := New(x.Dim(0), s.TermLen(dbias != nil))
+	Conv2DGradTerms(p, terms, dout, x, s, dbias != nil, sc)
+	FoldConvTerms(p, dw, dbias, terms)
+}
+
+func checkConvShapes(op string, out, x *Tensor, ws []int, s ConvSpec, n, oh, ow int) {
 	os := out.Shape()
-	ws := weight.Shape()
 	if len(os) != 4 || os[0] != n || os[1] != s.OutChannels || os[2] != oh || os[3] != ow {
 		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d %d %d]", op, os, n, s.OutChannels, oh, ow))
 	}

@@ -93,7 +93,7 @@ func Conv2DPacked(p *parallel.Pool, out *Tensor, x *PackedSpikes, weight, bias *
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.reserve(p.Lanes())
+	sc.Reserve(p.Lanes())
 	wMat := weight.Data // [Cout, k] row-major view
 	p.Run(n, func(lane, lo, hi int) {
 		col := sc.laneWords(lane, k*wpr)
@@ -137,35 +137,36 @@ func Conv2DPacked(p *parallel.Pool, out *Tensor, x *PackedSpikes, weight, bias *
 	}
 }
 
-// Conv2DGradWeightPacked accumulates dW += convBackwardWeight(dout, x) and,
-// when dbias is non-nil, dbias += per-channel sums of dout, with the
-// forward input x in packed form — the packed twin of Conv2DGradWeight.
-// Parallelism is over output channels with a private packed column per
-// lane, preserving the dense kernel's per-element accumulation order.
-func Conv2DGradWeightPacked(p *parallel.Pool, dw, dbias, dout *Tensor, x *PackedSpikes, s ConvSpec, sc *Scratch) {
-	n, c, h, w := checkPackedConvShapes("Conv2DGradWeightPacked", x, s)
+// Conv2DGradTermsPacked is Conv2DGradTerms with the forward input x in
+// packed form: each image's terms are gathered from the set bits of its
+// packed im2col column, in ascending order — the bit-identical nonzero
+// subsequence of the dense dot products.
+func Conv2DGradTermsPacked(p *parallel.Pool, terms, dout *Tensor, x *PackedSpikes, s ConvSpec, bias bool, sc *Scratch) {
+	n, c, h, w := checkPackedConvShapes("Conv2DGradTermsPacked", x, s)
 	oh, ow := s.OutSize(h, w)
 	ds := dout.Shape()
 	if len(ds) != 4 || ds[0] != n || ds[1] != s.OutChannels || ds[2] != oh || ds[3] != ow {
-		panic(fmt.Sprintf("tensor: Conv2DGradWeightPacked dout shape %v, want [%d %d %d %d]", ds, n, s.OutChannels, oh, ow))
+		panic(fmt.Sprintf("tensor: Conv2DGradTermsPacked dout shape %v, want [%d %d %d %d]", ds, n, s.OutChannels, oh, ow))
 	}
+	checkTerms("Conv2DGradTermsPacked", terms, n, s.TermLen(bias))
 	k := s.InChannels * s.KernelH * s.KernelW
 	ohw := oh * ow
 	wpr := colWords(ohw)
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.reserve(p.Lanes())
-	p.Run(s.OutChannels, func(lane, lo, hi int) {
+	sc.Reserve(p.Lanes())
+	p.Run(n, func(lane, lo, hi int) {
 		col := sc.laneWords(lane, k*wpr)
 		scanned, skipped := 0, 0
-		for img := 0; img < n; img++ {
+		for img := lo; img < hi; img++ {
 			Im2ColPacked(col, x, img, c, h, w, s)
 			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			// dW[co,kk] += Σ_{j∈spikes(col row kk)} dout[co,j]
-			for co := lo; co < hi; co++ {
+			row := terms.Data[img*terms.shape[1] : (img+1)*terms.shape[1]]
+			// terms[img][co,kk] = Σ_{j∈spikes(col row kk)} dout[co,j]
+			for co := 0; co < s.OutChannels; co++ {
 				drow := dslice[co*ohw : (co+1)*ohw]
-				wrow := dw.Data[co*k : (co+1)*k]
+				wrow := row[co*k : (co+1)*k]
 				for kk := 0; kk < k; kk++ {
 					crow := col[kk*wpr : (kk+1)*wpr]
 					scanned += wpr
@@ -181,13 +182,23 @@ func Conv2DGradWeightPacked(p *parallel.Pool, dw, dbias, dout *Tensor, x *Packed
 							cw &= cw - 1
 						}
 					}
-					wrow[kk] += sum
+					wrow[kk] = sum
 				}
+			}
+			if bias {
+				biasTerms(row[s.OutChannels*k:], dslice, ohw)
 			}
 		}
 		addPackStats(scanned, skipped)
 	})
-	if dbias != nil {
-		SumPerChannel(dbias, dout)
-	}
+}
+
+// Conv2DGradWeightPacked accumulates dW += convBackwardWeight(dout, x) and,
+// when dbias is non-nil, dbias += per-channel sums of dout, with the
+// forward input x in packed form — the packed twin of Conv2DGradWeight:
+// per-image terms over lanes, then the ascending-image fold.
+func Conv2DGradWeightPacked(p *parallel.Pool, dw, dbias, dout *Tensor, x *PackedSpikes, s ConvSpec, sc *Scratch) {
+	terms := New(x.Shape()[0], s.TermLen(dbias != nil))
+	Conv2DGradTermsPacked(p, terms, dout, x, s, dbias != nil, sc)
+	FoldConvTerms(p, dw, dbias, terms)
 }

@@ -17,11 +17,13 @@ type Scratch struct {
 // NewScratch returns an empty per-lane workspace.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// reserve grows the lane tables to at least n slots. It must run on the
+// Reserve grows the lane tables to at least n slots. It must run on the
 // submitting goroutine before lanes are dispatched: the tables themselves
 // are only ever resized here, so concurrent lane() calls touch disjoint
-// elements.
-func (s *Scratch) reserve(n int) {
+// elements. The kernels reserve their own pool's width; a caller that runs
+// kernels inside lanes of an enclosing pool (on parallel.Lane pools, which
+// report one lane) reserves the enclosing width up front.
+func (s *Scratch) Reserve(n int) {
 	for len(s.lanes) < n {
 		s.lanes = append(s.lanes, nil)
 	}

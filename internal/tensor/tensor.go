@@ -83,6 +83,21 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), Data: t.Data}
 }
 
+// Rows returns a view of rows [lo,hi) of the leading dimension — samples
+// lo..hi-1 of a batch-major tensor. The data is shared, and the view's
+// capacity ends at row hi, so it can never reach a neighbouring row.
+func (t *Tensor) Rows(lo, hi int) *Tensor {
+	if lo < 0 || hi < lo || hi > t.shape[0] {
+		panic(fmt.Sprintf("tensor: rows [%d,%d) out of range for shape %v", lo, hi, t.shape))
+	}
+	inner := 1
+	for _, d := range t.shape[1:] {
+		inner *= d
+	}
+	shape := append([]int{hi - lo}, t.shape[1:]...)
+	return &Tensor{shape: shape, Data: t.Data[lo*inner : hi*inner : hi*inner]}
+}
+
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {

@@ -13,6 +13,11 @@ cd "$(dirname "$0")"
 go build ./...
 go vet ./...
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
+# The network step runs its sample lanes concurrently. Race-test the layer,
+# engine and neuron packages in their own run: core's race suite is CPU
+# heavy, and alongside the latency-gated router tests above it skews their
+# p99 comparisons.
+go test -race ./internal/layers/... ./internal/core/... ./internal/snn/...
 go test ./...
 
 sh ./scripts/kill_resume_smoke.sh
